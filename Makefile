@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race bench bench-parallel ci cache-determinism bench-cache obs-check pipeline-check bench-pipeline relay-check bench-relay service-check bench-multitenant field-check bench-field trace-check bench-trace tier-check bench-tiering cluster-check bench-cluster
+.PHONY: verify fmt-check vet build test race bench bench-parallel ci cache-determinism bench-cache obs-check pipeline-check bench-pipeline relay-check bench-relay service-check bench-multitenant field-check bench-field trace-check bench-trace tier-check bench-tiering cluster-check bench-cluster gate-selfcheck
 
 ## verify: the full pre-commit gate — formatting, vet, build, tests.
 verify: fmt-check vet build test
@@ -46,6 +46,14 @@ ci: vet build
 	$(MAKE) trace-check
 	$(MAKE) tier-check
 	$(MAKE) cluster-check
+	$(MAKE) gate-selfcheck
+
+## gate-selfcheck: the gates' own soundness check — every alternative
+## of every gate's -run regex must match at least one test (go test
+## -list per package), so a renamed or deleted test cannot leave a gate
+## silently checking nothing.
+gate-selfcheck:
+	GO=$(GO) bash scripts/gate-selfcheck.sh Makefile
 
 ## pipeline-check: the staged-runtime gate — race-enabled goroutine-leak
 ## tests (pipeline, relay, session) plus the staged-vs-sequential
@@ -136,7 +144,7 @@ bench-trace:
 ## (byte-identical to a cold decode at the switch boundary), and the
 ## two-leg heterogeneous-link relay convergence test.
 tier-check:
-	$(GO) test -race -run 'TestTier|TestLadder|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport
+	$(GO) test -race -run 'TestTier|TestSemanticLadder|TestSharedFrameSet|TestAdaptive|TestMidStream|TestRelayTiers|TestGoldenTierWireBytes|TestBandwidthEstimator|TestTextLadder' ./internal/core ./internal/transport
 
 ## bench-tiering: the per-subscriber tiering record — one publisher's
 ## three-rung ladder through the relay to a 25 Mbps and a 200 kbps leg,
@@ -154,7 +162,7 @@ bench-tiering:
 ## its own non-race line: race instrumentation perturbs alloc counts.
 cluster-check:
 	$(GO) test -race ./internal/cluster
-	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestTrunkReshare|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim
+	$(GO) test -race -run 'TestSharedFromWire|TestAdoptPayload|TestJitter|TestMeshSeeds|TestMeshDial' ./internal/transport ./internal/netsim
 	$(GO) test -run 'TestTrunkLegAllocs' ./internal/transport
 
 ## bench-cluster: the sharded-cluster scaling record — 8 shards × 256

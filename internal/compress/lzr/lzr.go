@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 const (
@@ -12,6 +13,10 @@ const (
 	hashBits    = 16
 	maxChain    = 64 // match-finder chain depth
 	numSlotBits = 6  // distance slot tree width
+
+	// maxReserveRatio caps Decompress's up-front output reservation at
+	// this multiple of the compressed length.
+	maxReserveRatio = 8
 )
 
 var (
@@ -71,6 +76,16 @@ func distFromSlot(slot uint32, footer uint32) uint32 {
 	return base + footer + 1
 }
 
+const hashSize = 1 << hashBits
+
+// headPool and chainPool recycle the match finder's hash heads and
+// chain links across Compress calls; both are rewritten before they are
+// read, so a recycled table carries nothing from its last use.
+var (
+	headPool  = sync.Pool{New: func() any { return new([hashSize]int32) }}
+	chainPool = sync.Pool{New: func() any { return new([]int32) }}
+)
+
 // Compress returns a self-describing compressed representation of src.
 // Compress never fails; incompressible input grows by a small header.
 func Compress(src []byte) []byte {
@@ -85,12 +100,18 @@ func Compress(src []byte) []byte {
 	e := newRangeEncoder()
 
 	// Hash-chain match finder over 3-byte prefixes.
-	const hashSize = 1 << hashBits
-	head := make([]int32, hashSize)
+	headBuf := headPool.Get().(*[hashSize]int32)
+	defer headPool.Put(headBuf)
+	head := headBuf[:]
 	for i := range head {
 		head[i] = -1
 	}
-	chain := make([]int32, len(src))
+	chainBuf := chainPool.Get().(*[]int32)
+	defer chainPool.Put(chainBuf)
+	if cap(*chainBuf) < len(src) {
+		*chainBuf = make([]int32, len(src))
+	}
+	chain := (*chainBuf)[:len(src)]
 	hash3 := func(i int) uint32 {
 		v := uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16
 		return (v * 2654435761) >> (32 - hashBits)
@@ -181,9 +202,16 @@ func Decompress(data []byte) ([]byte, error) {
 		return []byte{}, nil
 	}
 
+	// origLen is untrusted: reserve at most a small multiple of the
+	// compressed size up front and let append grow the rest, so a short
+	// stream declaring gigabytes fails before it allocates them.
+	reserve := uint64(len(rest)) * maxReserveRatio
+	if reserve > origLen {
+		reserve = origLen
+	}
 	m := newModel()
 	d := newRangeDecoder(rest)
-	out := make([]byte, 0, origLen)
+	out := make([]byte, 0, reserve)
 	prevByte := byte(0)
 	lastWasMatch := 0
 	for uint64(len(out)) < origLen {

@@ -2,7 +2,10 @@ package lzr
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,6 +118,44 @@ func TestDecompressBitFlips(t *testing.T) {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x40
 		_, _ = Decompress(mut) // must not panic
+	}
+}
+
+// TestDecompressBombBounded: a 15-byte stream that declares 2 GiB of
+// output must fail as corrupt without reserving the declared length.
+func TestDecompressBombBounded(t *testing.T) {
+	bomb := binary.AppendUvarint([]byte("LZR1"), 2<<30)
+	bomb = append(bomb, 0, 0x5a, 0xc3, 0x3c, 0xa5, 0x99)
+	if len(bomb) != 15 {
+		t.Fatalf("bomb is %d bytes, want 15", len(bomb))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(bomb)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("decompressing a 15-byte bomb allocated %d bytes", n)
+	}
+}
+
+// TestCompressPooledTablesDeterministic: the recycled match-finder
+// tables must not leak state between calls, so compressing the same
+// input before and after unrelated inputs yields the same bytes.
+func TestCompressPooledTablesDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := []byte(strings.Repeat("keypoint pose frame ", 100))
+	first := Compress(a)
+	for _, n := range []int{10, 5000, 70000} {
+		other := make([]byte, n)
+		rng.Read(other)
+		roundTrip(t, other)
+	}
+	if again := Compress(a); !bytes.Equal(again, first) {
+		t.Fatal("compressed bytes changed after the pooled tables were reused")
 	}
 }
 

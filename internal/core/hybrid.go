@@ -34,6 +34,11 @@ type HybridEncoder struct {
 	// goroutine, so it must be an atomic swap, not a plain field; nil
 	// means no gaze report has arrived yet.
 	anchor atomic.Pointer[geom.Vec3]
+
+	// Foveal-submesh scratch (see fovealSubmesh); like every Encoder,
+	// a HybridEncoder is not safe for concurrent Encode calls.
+	fovealFaces []int
+	remap       []int
 }
 
 // SetGazeAnchor updates the world-space point the remote viewer is
@@ -75,25 +80,53 @@ func (e *HybridEncoder) Encode(c capture.Capture) (EncodedFrame, error) {
 	return out, nil
 }
 
-// fovealSubmesh extracts the faces of m inside the foveal region.
+// fovealSubmesh extracts the faces of m inside the foveal region as a
+// compact mesh: the vertices those faces use, in ascending order of
+// their index in m, and the faces in m's order over the new indices.
+// Only the result is allocated; the face and vertex-remap scratch stays
+// on the encoder.
 func (e *HybridEncoder) fovealSubmesh(m *mesh.Mesh) *mesh.Mesh {
 	anchor := e.anchor.Load()
 	if m == nil || anchor == nil {
 		return nil
 	}
-	centroids := make([]geom.Vec3, len(m.Faces))
+	faces := e.fovealFaces[:0]
 	for i := range m.Faces {
-		centroids[i] = m.FaceCentroid(i)
+		if e.Selector.InFovea(m.FaceCentroid(i), *anchor) {
+			faces = append(faces, i)
+		}
 	}
-	fovealFaces, _ := e.Selector.SplitMesh(centroids, *anchor)
-	if len(fovealFaces) == 0 {
+	e.fovealFaces = faces
+	if len(faces) == 0 {
 		return nil
 	}
-	sub := &mesh.Mesh{Vertices: append([]geom.Vec3(nil), m.Vertices...)}
-	for _, fi := range fovealFaces {
-		sub.Faces = append(sub.Faces, m.Faces[fi])
+	// remap[v] is the submesh index of vertex v plus one; 0 = unused.
+	if cap(e.remap) < len(m.Vertices) {
+		e.remap = make([]int, len(m.Vertices))
 	}
-	sub.CompactVertices()
+	remap := e.remap[:len(m.Vertices)]
+	clear(remap)
+	for _, fi := range faces {
+		f := m.Faces[fi]
+		remap[f.A], remap[f.B], remap[f.C] = 1, 1, 1
+	}
+	n := 0
+	for v, used := range remap {
+		if used != 0 {
+			n++
+			remap[v] = n
+		}
+	}
+	sub := &mesh.Mesh{Vertices: make([]geom.Vec3, 0, n), Faces: make([]mesh.Face, len(faces))}
+	for v, r := range remap {
+		if r != 0 {
+			sub.Vertices = append(sub.Vertices, m.Vertices[v])
+		}
+	}
+	for k, fi := range faces {
+		f := m.Faces[fi]
+		sub.Faces[k] = mesh.Face{A: remap[f.A] - 1, B: remap[f.B] - 1, C: remap[f.C] - 1}
+	}
 	return sub
 }
 

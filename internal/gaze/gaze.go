@@ -223,16 +223,3 @@ func (f FovealSelector) InFovea(p geom.Vec3, gazeAnchor geom.Vec3) bool {
 	ang := math.Atan2(off, f.ViewDistance) * 180 / math.Pi
 	return ang <= f.Radius
 }
-
-// SplitMesh partitions face indices of a mesh into foveal and peripheral
-// sets around the gazed-at anchor.
-func (f FovealSelector) SplitMesh(centroids []geom.Vec3, anchor geom.Vec3) (foveal, peripheral []int) {
-	for i, c := range centroids {
-		if f.InFovea(c, anchor) {
-			foveal = append(foveal, i)
-		} else {
-			peripheral = append(peripheral, i)
-		}
-	}
-	return foveal, peripheral
-}

@@ -169,10 +169,20 @@ func TestFovealSelector(t *testing.T) {
 		t.Error("far point included")
 	}
 	centroids := []geom.Vec3{anchor, near, far}
-	fov, per := f.SplitMesh(centroids, anchor)
-	if len(fov) != 2 || len(per) != 1 {
-		t.Errorf("split %d/%d", len(fov), len(per))
+	if fov := countInFovea(f, centroids, anchor); fov != 2 {
+		t.Errorf("split %d/%d", fov, len(centroids)-fov)
 	}
+}
+
+// countInFovea counts the points f places in the fovea around anchor.
+func countInFovea(f FovealSelector, pts []geom.Vec3, anchor geom.Vec3) int {
+	n := 0
+	for _, p := range pts {
+		if f.InFovea(p, anchor) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestFovealSelectorRadiusMonotone(t *testing.T) {
@@ -183,9 +193,9 @@ func TestFovealSelectorRadiusMonotone(t *testing.T) {
 	}
 	small := FovealSelector{Radius: 2, ViewDistance: 2}
 	large := FovealSelector{Radius: 8, ViewDistance: 2}
-	fs, _ := small.SplitMesh(centroids, anchor)
-	fl, _ := large.SplitMesh(centroids, anchor)
-	if len(fl) <= len(fs) {
-		t.Errorf("larger radius selected fewer faces: %d vs %d", len(fl), len(fs))
+	fs := countInFovea(small, centroids, anchor)
+	fl := countInFovea(large, centroids, anchor)
+	if fl <= fs {
+		t.Errorf("larger radius selected fewer faces: %d vs %d", fl, fs)
 	}
 }

@@ -68,7 +68,7 @@ func ExtractIsosurfaceBatch(field BatchField, grid GridSpec, workers int) *Mesh 
 // polygonization are shared verbatim with the scalar slab path.
 func extractSlabRangeBatch(field BatchField, lay gridLayout, k0, k1 int) *slabMesh {
 	nx, ny, vx, vy := lay.nx, lay.ny, lay.vx, lay.vy
-	s := newSlabMesh(lay)
+	s := newDenseSlab(lay)
 	cur := getSlabBuf(vx * vy)
 	next := getSlabBuf(vx * vy)
 	defer putSlabBuf(cur)

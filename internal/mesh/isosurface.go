@@ -114,16 +114,61 @@ var cubeTets = [6][4]int{
 	{0, 4, 5, 6},
 }
 
+// tetEdge locates one tetrahedron edge of a cube: the corner at its
+// lower lattice endpoint and its direction from there, one of the seven
+// non-zero offsets in {0,1}³ numbered dx + 2dy + 4dz − 1.
+type tetEdge struct{ lo, dir uint8 }
+
+// edgeDirs is the number of tet-edge directions: 3 axes, 3 face
+// diagonals and the body diagonal.
+const edgeDirs = 7
+
+// tetEdges maps a pair of cube corners joined by a tet edge to its
+// lower endpoint and direction. Every edge of cubeTets runs in a
+// non-negative direction from one of its endpoints (the 6-tet split
+// around the 0→6 diagonal never cuts a face along its other diagonal),
+// so (lower endpoint, direction) names a lattice edge the same way from
+// every cube that shares it. Entries for corner pairs that share no tet
+// edge are never read.
+var tetEdges = func() (t [8][8]tetEdge) {
+	for a := range cubeOffsets {
+		for b := range cubeOffsets {
+			// The lower endpoint has the smaller coordinate sum.
+			lo, hi := a, b
+			if cubeOffsets[a][0]+cubeOffsets[a][1]+cubeOffsets[a][2] > cubeOffsets[b][0]+cubeOffsets[b][1]+cubeOffsets[b][2] {
+				lo, hi = b, a
+			}
+			d := 0
+			for x := 0; x < 3; x++ {
+				d |= (cubeOffsets[hi][x] - cubeOffsets[lo][x]) << x
+			}
+			t[a][b] = tetEdge{uint8(lo), uint8(d - 1)}
+		}
+	}
+	return t
+}()
+
 // slabMesh accumulates polygonization output for one contiguous range of
-// z-slabs: vertices (with the lattice edge each lies on, for cross-slab
-// dedup), faces over local vertex indices, and the slab-local edge→vertex
-// map. Serial extraction uses a single slabMesh covering the whole grid;
+// z-slabs: vertices, faces over local vertex indices, and one of two
+// edge→vertex indexes. The dense extractor uses a slab-local map keyed
+// by lattice edge and records each vertex's edge for cross-slab dedup:
+// serial extraction uses a single slabMesh covering the whole grid;
 // parallel extraction builds one per slab and merges them in slab order.
+// The sparse extractor instead addresses edges through a flat table
+// indexed by the arena slot of the edge's lower endpoint (see edgeVertex).
 type slabMesh struct {
-	verts  []geom.Vec3
+	verts []geom.Vec3
+	faces []Face
+
+	// Dense path: lattice-edge map plus each vertex's edge.
 	keys   []latticeEdge
-	faces  []Face
 	shared map[latticeEdge]int
+
+	// Sparse path: edges[slot*edgeDirs+dir] holds vertex index + 1 (0 =
+	// no vertex yet); corners holds the arena slots of the cube being
+	// polygonized, in cubeOffsets order.
+	edges   []int32
+	corners []int32
 
 	origin   geom.Vec3
 	cell     float64
@@ -134,7 +179,6 @@ type slabMesh struct {
 
 func newSlabMesh(l gridLayout) *slabMesh {
 	return &slabMesh{
-		shared:   make(map[latticeEdge]int),
 		origin:   l.origin,
 		cell:     l.cell,
 		vx:       l.vx,
@@ -142,6 +186,14 @@ func newSlabMesh(l gridLayout) *slabMesh {
 		base:     l.base,
 		anchored: l.anchored,
 	}
+}
+
+// newDenseSlab is a slabMesh for the dense extractors, which index
+// edges through the lattice-edge map.
+func newDenseSlab(l gridLayout) *slabMesh {
+	s := newSlabMesh(l)
+	s.shared = make(map[latticeEdge]int)
+	return s
 }
 
 func (s *slabMesh) latticePoint(i, j, k int) geom.Vec3 {
@@ -167,15 +219,31 @@ func (s *slabMesh) latticePoint(i, j, k int) geom.Vec3 {
 func (s *slabMesh) lidx(i, j, k int) int { return (k*s.vy+j)*s.vx + i }
 
 // edgeVertex returns the local index of the interpolated vertex on the
-// lattice edge (la, lb), creating it on first use.
-func (s *slabMesh) edgeVertex(la, lb int, pa, pb geom.Vec3, va, vb float64) int {
-	key := latticeEdge{la, lb}
-	if la > lb {
-		key = latticeEdge{lb, la}
+// edge from corner a to corner b of the cube at (ci, cj, ck), whose
+// field values are va and vb, creating it on first use.
+func (s *slabMesh) edgeVertex(a, b, ci, cj, ck int, va, vb float64) int {
+	oa, ob := cubeOffsets[a], cubeOffsets[b]
+	var key latticeEdge
+	slot := 0
+	if s.edges != nil {
+		e := tetEdges[a][b]
+		slot = int(s.corners[e.lo])*edgeDirs + int(e.dir)
+		if v := s.edges[slot]; v != 0 {
+			return int(v - 1)
+		}
+	} else {
+		la := s.lidx(ci+oa[0], cj+oa[1], ck+oa[2])
+		lb := s.lidx(ci+ob[0], cj+ob[1], ck+ob[2])
+		key = latticeEdge{la, lb}
+		if la > lb {
+			key = latticeEdge{lb, la}
+		}
+		if idx, ok := s.shared[key]; ok {
+			return idx
+		}
 	}
-	if idx, ok := s.shared[key]; ok {
-		return idx
-	}
+	pa := s.latticePoint(ci+oa[0], cj+oa[1], ck+oa[2])
+	pb := s.latticePoint(ci+ob[0], cj+ob[1], ck+ob[2])
 	t := 0.5
 	if d := va - vb; d != 0 {
 		t = va / d
@@ -183,8 +251,12 @@ func (s *slabMesh) edgeVertex(la, lb int, pa, pb geom.Vec3, va, vb float64) int 
 	t = geom.Clamp(t, 0, 1)
 	idx := len(s.verts)
 	s.verts = append(s.verts, pa.Lerp(pb, t))
-	s.keys = append(s.keys, key)
-	s.shared[key] = idx
+	if s.edges != nil {
+		s.edges[slot] = int32(idx + 1)
+	} else {
+		s.keys = append(s.keys, key)
+		s.shared[key] = idx
+	}
 	return idx
 }
 
@@ -226,15 +298,12 @@ func (s *slabMesh) polygonizeTet(tet [4]int, vals [8]float64, ci, cj, ck int) {
 	if ni == 0 || ni == 4 {
 		return
 	}
-	corner := func(c int) (int, geom.Vec3) {
+	corner := func(c int) geom.Vec3 {
 		off := cubeOffsets[c]
-		i, j, k := ci+off[0], cj+off[1], ck+off[2]
-		return s.lidx(i, j, k), s.latticePoint(i, j, k)
+		return s.latticePoint(ci+off[0], cj+off[1], ck+off[2])
 	}
 	cut := func(a, b int) int {
-		la, pa := corner(a)
-		lb, pb := corner(b)
-		return s.edgeVertex(la, lb, pa, pb, vals[a], vals[b])
+		return s.edgeVertex(a, b, ci, cj, ck, vals[a], vals[b])
 	}
 	centroidOf := func(ids ...int) geom.Vec3 {
 		var sum geom.Vec3
@@ -249,14 +318,14 @@ func (s *slabMesh) polygonizeTet(tet [4]int, vals [8]float64, ci, cj, ck int) {
 		a := cut(in, outside[0])
 		b := cut(in, outside[1])
 		c := cut(in, outside[2])
-		_, pin := corner(in)
+		pin := corner(in)
 		s.emit(a, b, c, centroidOf(a, b, c).Sub(pin))
 	case 3:
 		outv := outside[0]
 		a := cut(inside[0], outv)
 		b := cut(inside[1], outv)
 		c := cut(inside[2], outv)
-		_, pout := corner(outv)
+		pout := corner(outv)
 		s.emit(a, b, c, pout.Sub(centroidOf(a, b, c)))
 	case 2:
 		i0, i1 := inside[0], inside[1]
@@ -265,8 +334,8 @@ func (s *slabMesh) polygonizeTet(tet [4]int, vals [8]float64, ci, cj, ck int) {
 		b := cut(i0, o1)
 		c := cut(i1, o1)
 		d := cut(i1, o0)
-		_, p0 := corner(i0)
-		_, p1 := corner(i1)
+		p0 := corner(i0)
+		p1 := corner(i1)
 		insideMid := p0.Lerp(p1, 0.5)
 		s.emit(a, b, c, centroidOf(a, b, c).Sub(insideMid))
 		s.emit(a, c, d, centroidOf(a, c, d).Sub(insideMid))
@@ -333,7 +402,7 @@ func ExtractIsosurfaceParallel(field ScalarField, grid GridSpec, workers int) *M
 // extractSlabRange polygonizes cubes with k in [k0, k1).
 func extractSlabRange(field ScalarField, lay gridLayout, k0, k1 int) *slabMesh {
 	nx, ny, vx, vy := lay.nx, lay.ny, lay.vx, lay.vy
-	s := newSlabMesh(lay)
+	s := newDenseSlab(lay)
 	cur := getSlabBuf(vx * vy)
 	next := getSlabBuf(vx * vy)
 	defer putSlabBuf(cur)

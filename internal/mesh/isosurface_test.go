@@ -144,3 +144,35 @@ func BenchmarkIsosurfaceRes32(b *testing.B) {
 		ExtractIsosurface(f, grid)
 	}
 }
+
+// TestTetEdgeDirections pins the premise of the sparse extractor's edge
+// table: every edge of the 6-tet split runs in one of the seven
+// non-negative lattice directions from its lower endpoint, so the pair
+// (lower endpoint, direction) names each edge identically from both of
+// its endpoints' cubes.
+func TestTetEdgeDirections(t *testing.T) {
+	for _, tet := range cubeTets {
+		for x := 0; x < 4; x++ {
+			for y := x + 1; y < 4; y++ {
+				a, b := tet[x], tet[y]
+				e := tetEdges[a][b]
+				if e != tetEdges[b][a] {
+					t.Fatalf("edge %d-%d: entry depends on orientation (%v vs %v)", a, b, e, tetEdges[b][a])
+				}
+				if e.dir >= edgeDirs || (int(e.lo) != a && int(e.lo) != b) {
+					t.Fatalf("edge %d-%d: bad entry %+v", a, b, e)
+				}
+				hi := a
+				if int(e.lo) == a {
+					hi = b
+				}
+				d := int(e.dir) + 1
+				for ax := 0; ax < 3; ax++ {
+					if got, want := cubeOffsets[hi][ax]-cubeOffsets[e.lo][ax], d>>ax&1; got != want {
+						t.Fatalf("edge %d-%d axis %d: offset %d, direction %d says %d", a, b, ax, got, e.dir, want)
+					}
+				}
+			}
+		}
+	}
+}

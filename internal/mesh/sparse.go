@@ -62,7 +62,8 @@ func ExtractIsosurfaceSparseParallel(field ScalarField, grid GridSpec, seeds []g
 // Sample reuse and band carry-over require an anchored grid (GridSpec
 // with Cell > 0); on bounds-derived grids st still provides scratch-arena
 // reuse but every frame runs cold. Passing st == nil runs cold with
-// throwaway scratch.
+// throwaway scratch. The returned mesh never aliases st's arenas, so the
+// caller may keep it across later extractions.
 func ExtractIsosurfaceSparseTemporal(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers int, st *SparseState) *Mesh {
 	return extractSparse(tf, grid, seeds, workers, st, true)
 }
@@ -120,7 +121,8 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 	if !ok || len(seeds) == 0 {
 		return &Mesh{}
 	}
-	if st == nil {
+	throwaway := st == nil
+	if throwaway {
 		st = &SparseState{}
 	}
 
@@ -201,14 +203,6 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 	visited := st.visited
 
 	s := newSlabMesh(lay)
-	if st.shared == nil {
-		st.shared = make(map[latticeEdge]int)
-	}
-	clear(st.shared)
-	s.shared = st.shared
-	s.keys = st.edgeKeys[:0]
-	s.verts = make([]geom.Vec3, 0, st.lastVerts)
-	s.faces = make([]Face, 0, st.lastFaces)
 
 	gkey := func(i, j, k int) int64 {
 		return packG(lay.base[0]+i, lay.base[1]+j, lay.base[2]+k)
@@ -572,11 +566,26 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 	// extractor's cube order), making the mesh a pure function of the
 	// band set and sample values. Each cell's recorded corner slots are
 	// permuted along with it, so this loop is map-free.
+	//
+	// Vertices are deduplicated through a flat edge table addressed by
+	// (arena slot of the edge's lower endpoint, direction): every tet
+	// edge runs in one of seven non-negative directions, so the pair
+	// names a lattice edge uniquely, and the table is sized by the
+	// frame's sample count rather than the lattice. Vertices and faces
+	// accumulate in arenas that persist across frames.
 	sort.Sort(bandOrder{band, bandCorners})
+	nEdges := len(samples) * edgeDirs
+	if cap(st.edges) < nEdges {
+		st.edges = make([]int32, nEdges)
+	}
+	s.edges = st.edges[:nEdges]
+	clear(s.edges)
+	s.verts, s.faces = st.verts[:0], st.faces[:0]
 	for bi, c := range band {
+		s.corners = bandCorners[bi*8 : bi*8+8]
 		var vals [8]float64
-		for ci := 0; ci < 8; ci++ {
-			vals[ci] = samples[bandCorners[bi*8+ci]].Val
+		for ci, slot := range s.corners {
+			vals[ci] = samples[slot].Val
 		}
 		s.polygonizeCube(vals, c.i, c.j, c.k)
 	}
@@ -589,8 +598,7 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 	st.needIdx, st.needPrev, st.cornerIdx = needIdx, needPrev, cornerIdx
 	st.batchPts, st.batchOut, st.batchIdx = batchPts, batchOut, batchIdx
 	st.curSamples = samples
-	st.edgeKeys = s.keys
-	st.lastVerts, st.lastFaces = len(s.verts), len(s.faces)
+	st.verts, st.faces = s.verts, s.faces
 	if temporal {
 		st.cell = lay.cell
 		st.band = st.band[:0]
@@ -610,5 +618,15 @@ func extractSparse(tf TemporalField, grid GridSpec, seeds []geom.Vec3, workers i
 		}
 		st.prevSamples, st.curSamples = st.curSamples, st.prevSamples
 	}
-	return s.mesh()
+	if throwaway {
+		// Nothing outlives this call, so the arenas themselves are the
+		// result.
+		return s.mesh()
+	}
+	// The arenas stay with st for the next frame; the caller owns an
+	// exact-size copy (caches and pipelines keep returned meshes).
+	return &Mesh{
+		Vertices: append(make([]geom.Vec3, 0, len(s.verts)), s.verts...),
+		Faces:    append(make([]Face, 0, len(s.faces)), s.faces...),
+	}
 }

@@ -110,11 +110,10 @@ type SparseState struct {
 	roots        []int64
 	mark         []uint8 // dense per-cell marks for the reachability filter
 	queue        []cell3
-	shared       map[latticeEdge]int
-	edgeKeys     []latticeEdge
 	rays         []seedRay
-	lastVerts    int
-	lastFaces    int
+	edges        []int32     // polygonization edge table: vertex + 1 per (slot, direction)
+	verts        []geom.Vec3 // polygonization vertex arena
+	faces        []Face      // polygonization face arena
 }
 
 // Reset drops the cached band and samples so the next extraction runs

@@ -24,11 +24,17 @@ import (
 	"semholo/internal/pointcloud"
 )
 
-// Frame is a color+depth framebuffer bound to a camera.
+// Frame is a color+depth framebuffer bound to a camera. A Frame also
+// owns the vertex-projection scratch RenderMesh reuses from call to
+// call, so rendering into one frame repeatedly allocates nothing per
+// vertex. Rendering calls on one Frame must not run concurrently: they
+// write Depth and Color, and share that scratch.
 type Frame struct {
 	Camera geom.Camera
 	Color  []pointcloud.Color // row-major, W*H
 	Depth  []float64          // camera-space z; 0 = no hit
+
+	projs []projVert // RenderMesh projection scratch
 }
 
 // NewFrame allocates a cleared framebuffer for the camera.
@@ -118,7 +124,8 @@ type projVert struct {
 // RenderMesh rasterizes m into the frame. Triangles with any vertex
 // behind the near plane are culled (adequate for the outside-in capture
 // rigs used throughout). With opt.Workers != 1 the screen is split into
-// horizontal bands rasterized concurrently.
+// horizontal bands rasterized concurrently. Concurrent RenderMesh calls
+// on the same Frame are not safe (see Frame).
 func RenderMesh(f *Frame, m *mesh.Mesh, opt MeshOptions) {
 	const near = 1e-3
 	w, h := f.Camera.Intr.Width, f.Camera.Intr.Height
@@ -141,7 +148,10 @@ func RenderMesh(f *Frame, m *mesh.Mesh, opt MeshOptions) {
 
 	// Precompute camera-space positions and projections (parallel over
 	// vertices; each slot written exactly once).
-	projs := make([]projVert, len(m.Vertices))
+	if cap(f.projs) < len(m.Vertices) {
+		f.projs = make([]projVert, len(m.Vertices))
+	}
+	projs := f.projs[:len(m.Vertices)]
 	par.For(workers, len(m.Vertices), func(i int) {
 		c := f.Camera.WorldToCam.TransformPoint(m.Vertices[i])
 		if c.Z <= near {

@@ -2,6 +2,7 @@ package render
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"semholo/internal/geom"
@@ -90,11 +91,12 @@ func TestZBufferOrdering(t *testing.T) {
 func TestShaderReceivesSurfaceData(t *testing.T) {
 	cam := sphereCam(geom.V3(0, 0, -3), 64)
 	f := NewFrame(cam)
-	called := false
+	// The shader runs from every band's goroutine.
+	var called atomic.Bool
 	RenderMesh(f, mesh.UnitSphere(2), MeshOptions{
 		Unlit: true,
 		Shader: func(fi int, bary [3]float64, pos, normal geom.Vec3) pointcloud.Color {
-			called = true
+			called.Store(true)
 			if math.Abs(bary[0]+bary[1]+bary[2]-1) > 1e-6 {
 				t.Errorf("barycentrics sum to %v", bary[0]+bary[1]+bary[2])
 			}
@@ -104,7 +106,7 @@ func TestShaderReceivesSurfaceData(t *testing.T) {
 			return pointcloud.Color{R: 1}
 		},
 	})
-	if !called {
+	if !called.Load() {
 		t.Fatal("shader never called")
 	}
 }
